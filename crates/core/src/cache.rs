@@ -526,10 +526,9 @@ fn tool_fingerprint(options: &CFinderOptions, limits: &Limits, salt: &str) -> St
     }
     h.write_u64(limits.max_file_bytes as u64);
     h.write_u64(limits.max_tokens as u64);
-    // Hash the *effective* deadline fold, not its carrier: an
-    // option-carried `deadline_ms` and an env-carried `Limits::deadline`
-    // naming the same budget address the same shard.
-    match crate::detect::effective_deadline(options, limits) {
+    // However the deadline arrived (environment or a serve request), the
+    // same budget addresses the same shard.
+    match limits.deadline {
         // The +1 keeps an explicit zero-duration deadline distinct from
         // "no deadline".
         Some(d) => h.write_u64(d.as_micros() as u64 + 1),

@@ -4,7 +4,7 @@
 //! The pipeline is fault-tolerant by construction: per-file parsing uses
 //! the error-recovering parser, resource guards ([`Limits`]) bound how
 //! much work a single file can consume, and every worker runs under a
-//! panic-isolation boundary ([`engine::map_ordered_catch`]). Anything
+//! panic-isolation boundary ([`engine::map_ordered_catch_traced`]). Anything
 //! that degrades a run is recorded as a typed [`Incident`] on the report
 //! instead of aborting the analysis or being silently dropped.
 
@@ -111,16 +111,6 @@ pub struct CFinderOptions {
     /// the paper's intra-procedural scope, byte-identical to pre-extension
     /// reports.
     pub interprocedural: bool,
-    /// First-class per-file parse deadline, in milliseconds. `None` (the
-    /// default) defers to [`Limits::deadline`] (which the CLI layer still
-    /// fills from `CFINDER_DEADLINE_MS`); `Some(0)` explicitly disables
-    /// any deadline; `Some(ms)` overrides the limit. Carried on options so
-    /// a *request* (e.g. one `cfinder serve` frame) can bring its own
-    /// budget without touching process environment. The cache fingerprint
-    /// covers only the [`effective_deadline`] fold, so an option-carried
-    /// and an env-carried deadline of the same duration address the same
-    /// cache shard.
-    pub deadline_ms: Option<u64>,
 }
 
 impl Default for CFinderOptions {
@@ -135,7 +125,6 @@ impl Default for CFinderOptions {
             ext_one_to_one_unique: false,
             ext_url_identifier: false,
             interprocedural: true,
-            deadline_ms: None,
         }
     }
 }
@@ -201,26 +190,6 @@ impl Default for Limits {
             inject_panic_marker: false,
         }
     }
-}
-
-/// The per-file deadline one analyzer configuration actually runs with:
-/// an option-carried [`CFinderOptions::deadline_ms`] wins over the
-/// (env-fed) [`Limits::deadline`], with `Some(0)` meaning "explicitly no
-/// deadline". The incremental cache fingerprints this *fold*, not the two
-/// carriers, so requests and environments naming the same budget share
-/// cache entries.
-pub fn effective_deadline(options: &CFinderOptions, limits: &Limits) -> Option<Duration> {
-    match options.deadline_ms {
-        Some(0) => None,
-        Some(ms) => Some(Duration::from_millis(ms)),
-        None => limits.deadline,
-    }
-}
-
-/// `limits` with its deadline replaced by the [`effective_deadline`] fold —
-/// what the pipeline (and the cache fingerprint) actually uses.
-pub fn effective_limits(options: &CFinderOptions, limits: &Limits) -> Limits {
-    Limits { deadline: effective_deadline(options, limits), ..*limits }
 }
 
 impl Limits {
@@ -373,7 +342,7 @@ impl CFinder {
     /// silently shrinking the registry.
     pub fn extract_models_with_incidents(&self, app: &AppSource) -> (ModelRegistry, Vec<Incident>) {
         let threads = self.threads();
-        let limits = effective_limits(&self.options, &self.limits);
+        let limits = self.limits;
         let parsed = engine::map_ordered_catch_traced(
             &app.files,
             threads,
@@ -420,7 +389,7 @@ impl CFinder {
         // is attached. Results come back in file order, so the facts list
         // and the incident list match a serial (and an uncached) run.
         let cache = self.cache.as_deref();
-        let limits = effective_limits(&self.options, &self.limits);
+        let limits = self.limits;
         let stage = Instant::now();
         let pass_span = obs.tracer.span("pass", || "parse".to_string());
         let parsed = engine::map_ordered_catch_cached(
@@ -798,7 +767,7 @@ impl CFinder {
 /// Parses one file under the resource guards, returning the module (or
 /// `None` when the file was dropped) and the incidents it produced.
 ///
-/// Callers run this under [`engine::map_ordered_catch`], so a panic here
+/// Callers run this under [`engine::map_ordered_catch_traced`], so a panic here
 /// (including an injected one) is isolated into a worker-panic incident.
 fn parse_file_guarded(
     file: &SourceFile,
@@ -1254,7 +1223,7 @@ fn analyze_function(
         return;
     }
     // Recurse into nested function definitions with fresh scopes.
-    crate::patterns::walk_shallow(body, &mut |stmt| {
+    cfinder_pyast::visit::walk_shallow(body, &mut |stmt| {
         if let StmtKind::FunctionDef(f) = &stmt.kind {
             analyze_function(
                 registry,

@@ -1,8 +1,9 @@
 //! Parallel execution engine for the analysis pipeline.
 //!
-//! The engine is deliberately tiny: an ordered fan-out primitive
-//! ([`map_ordered`]), a panic-isolating variant ([`map_ordered_catch`]),
-//! and worker-count resolution ([`resolve_threads`]). Determinism is by
+//! The engine is deliberately tiny: one ordered fan-out ([`map_ordered`]),
+//! its panic-isolating traced form ([`map_ordered_catch_traced`]) and the
+//! cache-aware layer over that ([`map_ordered_catch_cached`]), plus
+//! worker-count resolution ([`resolve_threads`]). Determinism is by
 //! construction — every fan-out returns outputs in input order, so a run
 //! with N threads produces byte-identical results to a serial run; the
 //! thread count only changes wall-clock time.
@@ -46,19 +47,51 @@ where
     O: Send,
     F: Fn(&T) -> O + Sync,
 {
-    map_ordered_traced(items, threads, &Tracer::disabled(), "", f)
+    fan_out(items, threads, &Tracer::disabled(), "", f)
 }
 
-/// [`map_ordered`] with per-chunk tracing: every worker chunk records one
-/// `cat: "worker"` span named `"<stage> chunk <i>"`, so a Chrome trace
-/// shows exactly how the fan-out split the items and how long each chunk
-/// ran. With a disabled tracer this is byte-for-byte `map_ordered` —
-/// the span guards collapse to a single `None` check.
+/// Panic-isolating, traced [`map_ordered`]: each item's `f` call runs
+/// under [`catch_unwind`], so a panic while processing one item becomes an
+/// `Err(message)` for that item alone — every other item still produces
+/// its result, outputs stay in input order, and no worker thread dies.
+/// The unwind boundary is per *item*, not per chunk: a panicking item in
+/// the middle of a chunk does not take its chunk-mates down with it.
 ///
-/// Note the chunk *count* depends on the thread count by definition, so
-/// `"worker"` spans are the one category excluded from the cross-thread
-/// span-structure determinism contract (see `cfinder-obs` docs).
-pub fn map_ordered_traced<T, O, F>(
+/// Every worker chunk records one `cat: "worker"` span named `"<stage>
+/// chunk <i>"`, so a Chrome trace shows exactly how the fan-out split the
+/// items and how long each chunk ran; with a disabled tracer the span
+/// guards collapse to a single `None` check. The chunk *count* depends on
+/// the thread count by definition, so `"worker"` spans are the one
+/// category excluded from the cross-thread span-structure determinism
+/// contract (see `cfinder-obs` docs).
+pub fn map_ordered_catch_traced<T, O, F>(
+    items: &[T],
+    threads: usize,
+    tracer: &Tracer,
+    stage: &'static str,
+    f: F,
+) -> Vec<Result<O, String>>
+where
+    T: Sync,
+    O: Send,
+    F: Fn(&T) -> O + Sync,
+{
+    fan_out(items, threads, tracer, stage, |item| {
+        catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| {
+            if let Some(s) = payload.downcast_ref::<&str>() {
+                (*s).to_string()
+            } else if let Some(s) = payload.downcast_ref::<String>() {
+                s.clone()
+            } else {
+                "worker panicked with a non-string payload".to_string()
+            }
+        })
+    })
+}
+
+/// The one chunk/spawn body behind every fan-out, with per-chunk worker
+/// spans.
+fn fan_out<T, O, F>(
     items: &[T],
     threads: usize,
     tracer: &Tracer,
@@ -78,13 +111,13 @@ where
     }
     let chunk_len = items.len().div_ceil(threads);
     let f = &f;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk_len)
             .enumerate()
             .map(|(i, chunk)| {
                 let tracer = tracer.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut span = tracer.span("worker", || format!("{stage} chunk {i}"));
                     span.arg("items", chunk.len().to_string());
                     chunk.iter().map(f).collect::<Vec<O>>()
@@ -92,50 +125,6 @@ where
             })
             .collect();
         handles.into_iter().flat_map(|h| h.join().expect("analysis worker panicked")).collect()
-    })
-    .expect("analysis scope panicked")
-}
-
-/// Panic-isolating [`map_ordered`]: each item's `f` call runs under
-/// [`catch_unwind`], so a panic while processing one item becomes an
-/// `Err(message)` for that item alone — every other item still produces
-/// its result, outputs stay in input order, and no worker thread dies.
-///
-/// The unwind boundary is per *item*, not per chunk: a panicking item in
-/// the middle of a chunk does not take its chunk-mates down with it.
-pub fn map_ordered_catch<T, O, F>(items: &[T], threads: usize, f: F) -> Vec<Result<O, String>>
-where
-    T: Sync,
-    O: Send,
-    F: Fn(&T) -> O + Sync,
-{
-    map_ordered_catch_traced(items, threads, &Tracer::disabled(), "", f)
-}
-
-/// Panic-isolating [`map_ordered_traced`]: per-chunk `"worker"` spans plus
-/// the per-item [`catch_unwind`] boundary of [`map_ordered_catch`].
-pub fn map_ordered_catch_traced<T, O, F>(
-    items: &[T],
-    threads: usize,
-    tracer: &Tracer,
-    stage: &'static str,
-    f: F,
-) -> Vec<Result<O, String>>
-where
-    T: Sync,
-    O: Send,
-    F: Fn(&T) -> O + Sync,
-{
-    map_ordered_traced(items, threads, tracer, stage, |item| {
-        catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| {
-            if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "worker panicked with a non-string payload".to_string()
-            }
-        })
     })
 }
 
@@ -158,7 +147,7 @@ pub struct CachedResult<O> {
 /// runs first; `Ok(Some(value))` short-circuits as a hit, `Ok(None)` is a
 /// miss, and `Err(detail)` is a *damaged-entry* miss whose detail is
 /// carried through on the result. On any miss, `compute` runs (under the
-/// per-item [`catch_unwind`] boundary of [`map_ordered_catch`]) and
+/// per-item [`catch_unwind`] boundary of [`map_ordered_catch_traced`]) and
 /// `store` is offered the freshly computed value for write-back —
 /// `store` returning `false` means the write was skipped or failed, which
 /// is never an error (it costs a future miss, not correctness).
@@ -228,7 +217,7 @@ mod tests {
     fn catch_isolates_panics_per_item() {
         let items: Vec<u32> = (0..20).collect();
         for threads in [1, 2, 4] {
-            let got = map_ordered_catch(&items, threads, |&n| {
+            let got = map_ordered_catch_traced(&items, threads, &Tracer::disabled(), "", |&n| {
                 if n % 7 == 3 {
                     panic!("boom on {n}");
                 }
@@ -251,7 +240,8 @@ mod tests {
         let items: Vec<u32> = (0..10).collect();
         for threads in [1, 3] {
             let tracer = Tracer::enabled();
-            let got = map_ordered_traced(&items, threads, &tracer, "parse", |&n| n + 1);
+            let got = map_ordered_catch_traced(&items, threads, &tracer, "parse", |&n| n + 1);
+            let got: Vec<u32> = got.into_iter().map(Result::unwrap).collect();
             assert_eq!(got, (1..=10).collect::<Vec<u32>>());
             let events = tracer.events();
             assert_eq!(events.len(), threads, "one worker span per chunk");
@@ -327,9 +317,11 @@ mod tests {
 
     #[test]
     fn catch_preserves_panic_message_kinds() {
-        let out = map_ordered_catch(&[0u8], 1, |_| -> u8 { panic!("static str") });
+        let none = Tracer::disabled();
+        let out =
+            map_ordered_catch_traced(&[0u8], 1, &none, "", |_| -> u8 { panic!("static str") });
         assert_eq!(out[0].as_ref().unwrap_err(), "static str");
-        let out = map_ordered_catch(&[0u8], 1, |_| -> u8 {
+        let out = map_ordered_catch_traced(&[0u8], 1, &none, "", |_| -> u8 {
             let dynamic = String::from("owned message");
             panic!("{dynamic}")
         });

@@ -50,9 +50,7 @@ pub use cache::{
     AnalysisCache, CacheEntry, CacheError, CacheStats, DetectEntry, DetectFacts, Lookup, WriteSkip,
 };
 pub use cfinder_obs::Obs;
-pub use detect::{
-    effective_deadline, effective_limits, AppSource, CFinder, CFinderOptions, Limits, SourceFile,
-};
+pub use detect::{AppSource, CFinder, CFinderOptions, Limits, SourceFile};
 pub use fsio::{atomic_write, atomic_write_with, ATOMIC_FAULT_ENV};
 pub use incident::{Coverage, Incident, IncidentKind};
 pub use models::{FieldInfo, FieldKind, ModelInfo, ModelRegistry};

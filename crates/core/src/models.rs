@@ -376,14 +376,8 @@ fn kw_default(keywords: &[Keyword]) -> (Option<Literal>, bool) {
     let Some(k) = keywords.iter().find(|k| k.name.as_deref() == Some("default")) else {
         return (None, false);
     };
-    let lit = match &k.value.kind {
-        ExprKind::Constant(Constant::Int(n)) => Some(Literal::Int(*n)),
-        ExprKind::Constant(Constant::Str(s)) => Some(Literal::Str(s.clone())),
-        ExprKind::Constant(Constant::Bool(b)) => Some(Literal::Bool(*b)),
-        ExprKind::Constant(Constant::None) => Some(Literal::Null),
-        _ => None, // callable/complex default
-    };
-    (lit, true)
+    // `None` for a callable/complex default.
+    (crate::resolve::binding_literal_of(&k.value), true)
 }
 
 /// `unique_together = ('a', 'b')` or `(('a', 'b'), ('c', 'd'))` or lists.

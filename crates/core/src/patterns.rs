@@ -13,11 +13,14 @@
 
 use std::collections::BTreeSet;
 
-use cfinder_flow::nullguard::{guard_paths, AccessPath};
-use cfinder_flow::{CheckKind, NullGuards, SummaryCmp, SummaryLit, SummaryTable};
-use cfinder_pyast::ast::{CmpOp, Constant, Expr, ExprKind, Stmt, StmtKind, UnaryOp};
-use cfinder_pyast::visit::bfs_exprs;
-use cfinder_schema::{CompareOp, Condition, Constraint, Literal, Predicate};
+use cfinder_flow::nullguard::{
+    assigned_value, guard_facts, literal_of, unwrap_not, AccessPath, GuardFacts,
+};
+use cfinder_flow::{CheckKind, NullGuards, SummaryTable};
+use cfinder_pyast::ast::{Constant, Expr, ExprKind, Stmt, StmtKind};
+pub use cfinder_pyast::visit::walk_shallow;
+use cfinder_pyast::visit::{bfs_exprs, own_exprs};
+use cfinder_schema::{Condition, Constraint, Literal, Predicate};
 
 use crate::detect::CFinderOptions;
 use crate::models::{FieldKind, ModelRegistry};
@@ -269,9 +272,9 @@ fn detect_u1(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
 
     // C-D + D-D on the branches.
     let then_save = branch_saves_model(ctx, then, &model);
-    let then_err = branch_has_error(ctx, then);
+    let then_err = branch_has_error(then);
     let else_save = branch_saves_model(ctx, orelse, &model);
-    let else_err = branch_has_error(ctx, orelse);
+    let else_err = branch_has_error(orelse);
 
     let matched = match polarity {
         Polarity::NotExists => then_save || else_err,
@@ -280,14 +283,6 @@ fn detect_u1(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
     if matched {
         let constraint = Constraint::partial_unique(&model, columns, conditions);
         ctx.emit(out, PatternId::U1, constraint, stmt);
-    }
-}
-
-/// Strips a leading `not`, reporting whether it flipped the polarity.
-fn unwrap_not(test: &Expr) -> (&Expr, bool) {
-    match &test.kind {
-        ExprKind::UnaryOp { op: UnaryOp::Not, operand } => (operand, true),
-        _ => (test, false),
     }
 }
 
@@ -323,8 +318,7 @@ fn branch_saves_model(ctx: &DetectCtx<'_>, branch: &[Stmt], model: &str) -> bool
 }
 
 /// Does the branch raise or log an error?
-fn branch_has_error(ctx: &DetectCtx<'_>, branch: &[Stmt]) -> bool {
-    let _ = ctx;
+fn branch_has_error(branch: &[Stmt]) -> bool {
     let mut found = false;
     let err_pat = p_error_call();
     walk_shallow(branch, &mut |stmt| {
@@ -434,24 +428,22 @@ fn column_of_access(ctx: &DetectCtx<'_>, base: &Expr, stmt: &Stmt) -> Option<(St
 
 // --- PA_n2: check NULL before assignment / error-handling ----------------------
 
+/// PA_n2: `if <path> is None:` whose then-branch raises (or logs an
+/// error) or assigns the path, and `if <path> is not None: … else: raise`.
+/// Each branch is checked on its own.
 fn detect_n2(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
     let StmtKind::If { test, body: then, orelse } = &stmt.kind else { return };
-    let (pos, neg) = guard_paths(test);
-
-    // `if <path> is None:` → then-branch must raise or assign the path.
-    for path in &neg {
-        if branch_has_error(ctx, then) || branch_assigns_path(then, path) {
-            if let Some((model, column)) = field_of_path(ctx, path, stmt) {
-                ctx.emit(out, PatternId::N2, Constraint::not_null(model, column), stmt);
-            }
+    let facts = guard_facts(test);
+    for (path, kind) in &facts.when_false {
+        if *kind == CheckKind::NotNone
+            && (branch_has_error(then) || branch_assigns_path(then, path))
+        {
+            emit_fact(ctx, out, path, kind, stmt, None);
         }
     }
-    // `if <path> is not None: … else: raise` → same assumption.
-    for path in &pos {
-        if branch_has_error(ctx, orelse) && !orelse.is_empty() {
-            if let Some((model, column)) = field_of_path(ctx, path, stmt) {
-                ctx.emit(out, PatternId::N2, Constraint::not_null(model, column), stmt);
-            }
+    for (path, kind) in &facts.when_true {
+        if *kind == CheckKind::NotNone && branch_has_error(orelse) {
+            emit_fact(ctx, out, path, kind, stmt, None);
         }
     }
 }
@@ -471,19 +463,11 @@ fn field_of_path(ctx: &DetectCtx<'_>, path: &AccessPath, stmt: &Stmt) -> Option<
     Some((owner.name.clone(), field.column_name()))
 }
 
-/// Does the branch assign (any value) to exactly this path?
+/// Does the branch, nested blocks included, assign (any value) to exactly
+/// this path?
 fn branch_assigns_path(branch: &[Stmt], path: &AccessPath) -> bool {
     let mut found = false;
-    walk_shallow(branch, &mut |stmt| {
-        if found {
-            return;
-        }
-        if let StmtKind::Assign { targets, .. } = &stmt.kind {
-            if targets.iter().any(|t| AccessPath::of_expr(t).as_ref() == Some(path)) {
-                found = true;
-            }
-        }
-    });
+    walk_shallow(branch, &mut |stmt| found = found || assigned_value(stmt, path).is_some());
     found
 }
 
@@ -493,126 +477,43 @@ fn branch_assigns_path(branch: &[Stmt], path: &AccessPath) -> bool {
 /// raises. `if data.total <= 0: raise` means every persisted row satisfies
 /// the *negation*, so the schema can enforce `CHECK (total > 0)`.
 fn detect_c1(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
-    if !ctx.options.check_inference {
-        return;
-    }
-    let StmtKind::If { test, body: then, orelse } = &stmt.kind else { return };
-    let (test, negated) = unwrap_not(test);
-    let ExprKind::Compare { left, ops, comparators } = &test.kind else { return };
-    // Chained comparisons (`0 < x < 10`) are out of the normalized form.
-    let ([op], [right]) = (ops.as_slice(), comparators.as_slice()) else { return };
-    let Some(op) = compare_op_of(op) else { return };
-    // Column on either side; flip the operator when the literal is first.
-    let (col_expr, lit, op) = if let Some(lit) = literal_of(right) {
-        (&**left, lit, op)
-    } else if let Some(lit) = literal_of(left) {
-        (right, lit, op.flipped())
-    } else {
-        return;
-    };
-    let Some(path) = AccessPath::of_expr(col_expr) else { return };
-    let Some((model, column)) = field_of_path(ctx, &path, stmt) else { return };
-    // `if C: raise` pins ¬C; `if C: … else: raise` pins C. An outer `not`
-    // has already inverted the written condition relative to C.
-    let holds = if branch_has_error(ctx, then) {
-        if negated {
-            op
-        } else {
-            op.negated()
-        }
-    } else if !orelse.is_empty() && branch_has_error(ctx, orelse) {
-        if negated {
-            op.negated()
-        } else {
-            op
-        }
-    } else {
-        return;
-    };
-    let c = Constraint::check(model, Predicate::compare(column, holds, lit));
-    ctx.emit(out, PatternId::C1, c, stmt);
+    detect_value_guard(ctx, stmt, out, |k| matches!(k, CheckKind::Compare { .. }));
 }
 
 /// PA_c2: a membership guard over a closed constant set whose violating
 /// branch raises. `if self.status not in ('Open', 'Closed'): raise` pins
 /// `CHECK (status IN ('Closed', 'Open'))`.
 fn detect_c2(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
-    if !ctx.options.check_inference {
+    detect_value_guard(ctx, stmt, out, |k| matches!(k, CheckKind::Member { .. }));
+}
+
+/// The facts of `family` that a raising branch leaves holding: `if C:
+/// raise` pins ¬C; failing that, `if C: … else: raise` pins C. The
+/// ablation gate is [`fact_constraint`]'s, shared with the summaries.
+fn detect_value_guard(
+    ctx: &DetectCtx<'_>,
+    stmt: &Stmt,
+    out: &mut Vec<Detection>,
+    family: fn(&CheckKind) -> bool,
+) {
+    let StmtKind::If { test, body: then, orelse } = &stmt.kind else { return };
+    let GuardFacts { mut when_true, mut when_false } = guard_facts(test);
+    when_true.retain(|(_, k)| family(k));
+    when_false.retain(|(_, k)| family(k));
+    // Most guards are not of the family: skip the branch scans.
+    if when_true.is_empty() && when_false.is_empty() {
         return;
     }
-    let StmtKind::If { test, body: then, orelse } = &stmt.kind else { return };
-    let (test, negated) = unwrap_not(test);
-    let ExprKind::Compare { left, ops, comparators } = &test.kind else { return };
-    let ([op], [right]) = (ops.as_slice(), comparators.as_slice()) else { return };
-    let is_in = match op {
-        CmpOp::In => true,
-        CmpOp::NotIn => false,
-        _ => return,
-    };
-    let Some(values) = literal_list_of(right) else { return };
-    let Some(path) = AccessPath::of_expr(left) else { return };
-    let Some((model, column)) = field_of_path(ctx, &path, stmt) else { return };
-    // Only membership (IN) is expressible; the guard pins it when the
-    // *violating* side of the branch is the non-member one.
-    let cond_is_member = is_in != negated;
-    let pinned = if branch_has_error(ctx, then) {
-        !cond_is_member
-    } else if !orelse.is_empty() && branch_has_error(ctx, orelse) {
-        cond_is_member
+    let holding = if branch_has_error(then) {
+        when_false
+    } else if branch_has_error(orelse) {
+        when_true
     } else {
         return;
     };
-    if !pinned {
-        return;
+    for (path, kind) in &holding {
+        emit_fact(ctx, out, path, kind, stmt, None);
     }
-    let c = Constraint::check(model, Predicate::in_values(column, values));
-    ctx.emit(out, PatternId::C2, c, stmt);
-}
-
-/// Maps a Python comparison operator onto the predicate algebra. Identity
-/// and membership operators have no scalar SQL counterpart here.
-fn compare_op_of(op: &CmpOp) -> Option<CompareOp> {
-    match op {
-        CmpOp::Eq => Some(CompareOp::Eq),
-        CmpOp::NotEq => Some(CompareOp::Ne),
-        CmpOp::Lt => Some(CompareOp::Lt),
-        CmpOp::LtEq => Some(CompareOp::Le),
-        CmpOp::Gt => Some(CompareOp::Gt),
-        CmpOp::GtEq => Some(CompareOp::Ge),
-        CmpOp::In | CmpOp::NotIn | CmpOp::Is | CmpOp::IsNot => None,
-    }
-}
-
-/// A constant expression as a SQL literal. Floats are excluded (their SQL
-/// rendering is dialect-sensitive) and `None` is handled by PA_n2, not as
-/// a comparable value. Negative numbers arrive as unary minus over a
-/// constant, not as a negative constant.
-fn literal_of(expr: &Expr) -> Option<Literal> {
-    if let ExprKind::UnaryOp { op: UnaryOp::Neg, operand } = &expr.kind {
-        if let ExprKind::Constant(Constant::Int(i)) = &operand.kind {
-            return Some(Literal::Int(-i));
-        }
-        return None;
-    }
-    let ExprKind::Constant(c) = &expr.kind else { return None };
-    match c {
-        Constant::Int(i) => Some(Literal::Int(*i)),
-        Constant::Str(s) => Some(Literal::Str(s.clone())),
-        Constant::Bool(b) => Some(Literal::Bool(*b)),
-        _ => None,
-    }
-}
-
-/// A tuple/list/set display whose elements are all scalar constants.
-fn literal_list_of(expr: &Expr) -> Option<Vec<Literal>> {
-    let elements = match &expr.kind {
-        ExprKind::Tuple(e) | ExprKind::List(e) | ExprKind::Set(e) => e,
-        _ => return None,
-    };
-    if elements.is_empty() {
-        return None;
-    }
-    elements.iter().map(literal_of).collect()
 }
 
 // --- PA_d1: sentinel assignment implies DEFAULT ---------------------------------
@@ -621,36 +522,29 @@ fn literal_list_of(expr: &Expr) -> Option<Vec<Literal>> {
 /// fallback value for an absent column, which is exactly what a schema
 /// `DEFAULT` expresses (and enforces for every writer, not just this one).
 fn detect_d1(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
-    if !ctx.options.default_inference {
-        return;
-    }
     let StmtKind::If { test, body: then, orelse } = &stmt.kind else { return };
-    let (pos, neg) = guard_paths(test);
+    let facts = guard_facts(test);
     // `if <col> is None: <col> = <constant>` and the inverted
     // `if <col> is not None: … else: <col> = <constant>` both fall back.
-    for (paths, branch) in [(&neg, then), (&pos, orelse)] {
-        for path in paths.iter() {
+    for (facts, branch) in [(&facts.when_false, then), (&facts.when_true, orelse)] {
+        for (path, kind) in facts {
+            if *kind != CheckKind::NotNone {
+                continue;
+            }
             if let Some(value) = branch_assigns_constant(branch, path) {
-                if let Some((model, column)) = field_of_path(ctx, path, stmt) {
-                    let c = Constraint::default_value(model, column, value);
-                    ctx.emit(out, PatternId::D1, c, stmt);
-                }
+                emit_fact(ctx, out, path, &CheckKind::DefaultAssign { value }, stmt, None);
             }
         }
     }
 }
 
-/// The constant assigned to exactly this path in the branch, if any.
+/// The first constant assigned to exactly this path in the branch, nested
+/// blocks included; a non-constant assignment does not end the scan.
 fn branch_assigns_constant(branch: &[Stmt], path: &AccessPath) -> Option<Literal> {
     let mut found = None;
     walk_shallow(branch, &mut |stmt| {
-        if found.is_some() {
-            return;
-        }
-        if let StmtKind::Assign { targets, value } = &stmt.kind {
-            if targets.iter().any(|t| AccessPath::of_expr(t).as_ref() == Some(path)) {
-                found = literal_of(value);
-            }
+        if found.is_none() {
+            found = assigned_value(stmt, path).and_then(literal_of);
         }
     });
     found
@@ -661,8 +555,7 @@ fn branch_assigns_constant(branch: &[Stmt], path: &AccessPath) -> Option<Literal
 /// Helper-wrapped enforcement: a call whose def-site-resolved callee
 /// summary establishes checks on argument paths becomes a detection *at
 /// the call site*, in the same pattern family the check would have
-/// matched written in-line — NotNone ⇒ PA_n2, comparison ⇒ PA_c1,
-/// membership ⇒ PA_c2, sentinel default ⇒ PA_d1 — with the helper hop
+/// matched written in-line (see [`fact_constraint`]), with the helper hop
 /// recorded on the detection for provenance (`rule → helper def → call
 /// site → constraint`). Each family honors its own ablation flag, so
 /// e.g. `--ablate check` silences helper-carried CHECKs exactly like
@@ -677,74 +570,57 @@ fn detect_interproc(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) 
             let ExprKind::Call { func, args, keywords } = &e.kind else { continue };
             let Some(call) = table.resolve_call(func, args, keywords) else { continue };
             for (path, check) in &call.checks {
-                let ap = AccessPath(path.clone());
-                let Some((model, column)) = field_of_path(ctx, &ap, stmt) else { continue };
-                let (pattern, constraint) = match &check.kind {
-                    CheckKind::NotNone => (PatternId::N2, Constraint::not_null(model, column)),
-                    CheckKind::Compare { op, lit } => {
-                        if !ctx.options.check_inference {
-                            continue;
-                        }
-                        let p = Predicate::compare(
-                            column,
-                            compare_op_of_summary(*op),
-                            literal_of_summary(lit),
-                        );
-                        (PatternId::C1, Constraint::check(model, p))
-                    }
-                    CheckKind::Member { values } => {
-                        if !ctx.options.check_inference {
-                            continue;
-                        }
-                        let values: Vec<Literal> = values.iter().map(literal_of_summary).collect();
-                        (
-                            PatternId::C2,
-                            Constraint::check(model, Predicate::in_values(column, values)),
-                        )
-                    }
-                    CheckKind::DefaultAssign { value } => {
-                        if !ctx.options.default_inference {
-                            continue;
-                        }
-                        (
-                            PatternId::D1,
-                            Constraint::default_value(model, column, literal_of_summary(value)),
-                        )
-                    }
-                };
                 let via = HelperHop {
                     helper: call.summary.name.clone(),
                     file: call.summary.file.clone(),
                     line: check.line,
                 };
-                ctx.emit_via(out, pattern, constraint, stmt, Some(via));
+                emit_fact(ctx, out, &AccessPath(path.clone()), &check.kind, stmt, Some(via));
             }
         }
     }
 }
 
-/// Summary comparison operators onto the predicate algebra (summaries
-/// store the direction that *holds* for valid values, same as
-/// [`Predicate::compare`] expects).
-fn compare_op_of_summary(op: SummaryCmp) -> CompareOp {
-    match op {
-        SummaryCmp::Eq => CompareOp::Eq,
-        SummaryCmp::Ne => CompareOp::Ne,
-        SummaryCmp::Lt => CompareOp::Lt,
-        SummaryCmp::Le => CompareOp::Le,
-        SummaryCmp::Gt => CompareOp::Gt,
-        SummaryCmp::Ge => CompareOp::Ge,
+/// Emits the detection a guard fact on `path` infers, when the path is a
+/// model column and the fact's family is not ablated.
+fn emit_fact(
+    ctx: &DetectCtx<'_>,
+    out: &mut Vec<Detection>,
+    path: &AccessPath,
+    kind: &CheckKind,
+    stmt: &Stmt,
+    via: Option<HelperHop>,
+) {
+    let Some((model, column)) = field_of_path(ctx, path, stmt) else { return };
+    if let Some((pattern, constraint)) = fact_constraint(ctx.options, kind, model, column) {
+        ctx.emit_via(out, pattern, constraint, stmt, via);
     }
 }
 
-/// Summary literals onto SQL literals (summaries only ever record the
-/// int/str/bool subset [`literal_of`] accepts, so this is total).
-fn literal_of_summary(lit: &SummaryLit) -> Literal {
-    match lit {
-        SummaryLit::Int(i) => Literal::Int(*i),
-        SummaryLit::Str(s) => Literal::Str(s.clone()),
-        SummaryLit::Bool(b) => Literal::Bool(*b),
-    }
+/// The pattern family and constraint a guard fact on `model.column`
+/// infers: not-None ⇒ PA_n2, comparison ⇒ PA_c1, membership ⇒ PA_c2,
+/// sentinel default ⇒ PA_d1. `None` when the family is ablated.
+fn fact_constraint(
+    options: &CFinderOptions,
+    kind: &CheckKind,
+    model: String,
+    column: String,
+) -> Option<(PatternId, Constraint)> {
+    Some(match kind {
+        CheckKind::NotNone => (PatternId::N2, Constraint::not_null(model, column)),
+        CheckKind::Compare { op, lit } if options.check_inference => {
+            let p = Predicate::compare(column, *op, lit.clone());
+            (PatternId::C1, Constraint::check(model, p))
+        }
+        CheckKind::Member { values } if options.check_inference => {
+            let p = Predicate::in_values(column, values.iter().cloned());
+            (PatternId::C2, Constraint::check(model, p))
+        }
+        CheckKind::DefaultAssign { value } if options.default_inference => {
+            (PatternId::D1, Constraint::default_value(model, column, value.clone()))
+        }
+        _ => return None,
+    })
 }
 
 // --- PA_f1 / PA_f2: foreign-key reference patterns ------------------------------
@@ -906,69 +782,6 @@ fn db_column(registry: &ModelRegistry, model: &str, name: &str) -> String {
     match registry.field_of(model, name) {
         Some((_, field)) => field.column_name(),
         None => name.to_string(),
-    }
-}
-
-/// Pre-order statement walk that descends into control structures but NOT
-/// into nested `def`/`class` bodies (those are separate analysis scopes).
-pub fn walk_shallow<'a>(body: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt)) {
-    for s in body {
-        f(s);
-        match &s.kind {
-            StmtKind::If { body, orelse, .. }
-            | StmtKind::For { body, orelse, .. }
-            | StmtKind::While { body, orelse, .. } => {
-                walk_shallow(body, f);
-                walk_shallow(orelse, f);
-            }
-            StmtKind::Try { body, handlers, orelse, finalbody } => {
-                walk_shallow(body, f);
-                for h in handlers {
-                    walk_shallow(&h.body, f);
-                }
-                walk_shallow(orelse, f);
-                walk_shallow(finalbody, f);
-            }
-            StmtKind::With { body, .. } => walk_shallow(body, f),
-            _ => {}
-        }
-    }
-}
-
-/// The expressions a statement directly owns (not those of nested
-/// statements).
-pub fn own_exprs(stmt: &Stmt) -> Vec<&Expr> {
-    match &stmt.kind {
-        StmtKind::Assign { targets, value } => {
-            let mut v: Vec<&Expr> = targets.iter().collect();
-            v.push(value);
-            v
-        }
-        StmtKind::AugAssign { target, value, .. } => vec![target, value],
-        StmtKind::If { test, .. } | StmtKind::While { test, .. } => vec![test],
-        StmtKind::For { target, iter, .. } => vec![target, iter],
-        StmtKind::With { items, .. } => {
-            let mut v = Vec::new();
-            for i in items {
-                v.push(&i.context);
-                if let Some(t) = &i.target {
-                    v.push(t);
-                }
-            }
-            v
-        }
-        StmtKind::Return { value } => value.iter().collect(),
-        StmtKind::Raise { exc, cause } => exc.iter().chain(cause.iter()).collect(),
-        StmtKind::Expr { value } => vec![value],
-        StmtKind::Assert { test, msg } => {
-            let mut v = vec![test];
-            v.extend(msg.iter());
-            v
-        }
-        StmtKind::Delete { targets } => targets.iter().collect(),
-        StmtKind::FunctionDef(f) => f.decorators.iter().collect(),
-        StmtKind::ClassDef(c) => c.decorators.iter().chain(c.bases.iter()).collect(),
-        _ => Vec::new(),
     }
 }
 
@@ -1443,6 +1256,62 @@ class WishListLine(models.Model):
             "class Order(models.Model):\n    creator = models.CharField(max_length=64)\n    def validate(self):\n        if self.creator is None:\n            raise Error('missing creator')\n",
         );
         assert!(!found.iter().any(|c| c.contains("Order Default")), "{found:?}");
+    }
+
+    // --- guard policy (the summaries' differs; see flow::interproc) ----------
+
+    #[test]
+    fn n2_reads_both_branches_independently() {
+        // The raising then-branch does not stop the else-branch being read.
+        assert_detected(
+            "class Order(models.Model):\n    creator = models.CharField(max_length=64)\n    def validate(self):\n        if self.creator is not None:\n            raise Error('a')\n        else:\n            raise Error('b')\n",
+            "Order Not NULL (creator)",
+            PatternId::N2,
+        );
+    }
+
+    #[test]
+    fn c1_reads_the_then_branch_first() {
+        let code = "class Order(models.Model):\n    total = models.IntegerField()\n    def validate(self):\n        if self.total > 0:\n            raise Error('a')\n        else:\n            raise Error('b')\n";
+        assert_detected(code, "Order Check (total <= 0)", PatternId::C1);
+        assert_not_detected(code, "Order Check (total > 0)");
+    }
+
+    #[test]
+    fn error_log_or_nested_raise_makes_a_branch_violating() {
+        assert_detected(
+            "class Order(models.Model):\n    total = models.IntegerField()\n    def validate(self):\n        if self.total <= 0:\n            logger.error('bad total')\n",
+            "Order Check (total > 0)",
+            PatternId::C1,
+        );
+        assert_detected(
+            "class Order(models.Model):\n    creator = models.CharField(max_length=64)\n    def validate(self, strict):\n        if self.creator is None:\n            if strict:\n                raise Error('missing')\n",
+            "Order Not NULL (creator)",
+            PatternId::N2,
+        );
+    }
+
+    #[test]
+    fn d1_scans_nested_blocks_for_the_first_constant() {
+        assert_detected(
+            "class Order(models.Model):\n    creator = models.CharField(max_length=64)\n    def fix(self, flag):\n        if self.creator is None:\n            if flag:\n                self.creator = 'system'\n",
+            "Order Default (creator = 'system')",
+            PatternId::D1,
+        );
+        // A non-constant assignment does not end the scan.
+        assert_detected(
+            "class Order(models.Model):\n    creator = models.CharField(max_length=64)\n    def fix(self, user):\n        if self.creator is None:\n            self.creator = user.name\n            self.creator = 'system'\n",
+            "Order Default (creator = 'system')",
+            PatternId::D1,
+        );
+    }
+
+    #[test]
+    fn assert_is_not_an_intra_guard() {
+        assert_not_detected(
+            "class Order(models.Model):\n    creator = models.CharField(max_length=64)\n    def validate(self):\n        assert self.creator is not None\n",
+            "Order Not NULL (creator)",
+        );
     }
 
     // --- PA_f1 / PA_f2 ---------------------------------------------------------

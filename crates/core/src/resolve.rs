@@ -307,14 +307,16 @@ pub fn kwarg_bindings(keywords: &[Keyword]) -> Vec<ColBinding> {
         .filter_map(|k| {
             let name = k.name.as_deref()?;
             let column = name.split("__").next().unwrap_or(name);
-            let fixed = literal_of(&k.value);
+            let fixed = binding_literal_of(&k.value);
             Some(ColBinding::explicit(column, fixed))
         })
         .collect()
 }
 
-/// Converts a constant expression to a schema literal.
-pub fn literal_of(expr: &Expr) -> Option<Literal> {
+/// A constant keyword binding (`active=True`, `default=None`) as a schema
+/// literal. Unlike a guard literal, `None` is a value here (`Null`) and
+/// there is no unary minus.
+pub fn binding_literal_of(expr: &Expr) -> Option<Literal> {
     match &expr.kind {
         ExprKind::Constant(Constant::Int(n)) => Some(Literal::Int(*n)),
         ExprKind::Constant(Constant::Str(s)) => Some(Literal::Str(s.clone())),

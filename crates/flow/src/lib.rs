@@ -34,8 +34,8 @@ pub mod reaching;
 
 pub use cfg::{Cfg, CfgNodeId, CfgNodeKind};
 pub use interproc::{
-    CallChecks, CheckKind, DegradeReason, FnSummary, InterprocFacts, ParamCheck, SummaryBudget,
-    SummaryCmp, SummaryLit, SummaryStats, SummaryTable,
+    CallChecks, DegradeReason, FnSummary, InterprocFacts, ParamCheck, SummaryBudget, SummaryStats,
+    SummaryTable,
 };
-pub use nullguard::{AccessPath, NullGuards};
+pub use nullguard::{guard_facts, AccessPath, CheckKind, GuardFacts, NullGuards};
 pub use reaching::{Def, DefId, DefKind, UseDefChains};

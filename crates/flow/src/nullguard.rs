@@ -19,6 +19,10 @@
 //! * boolean short-circuits: `x and x.y` guards `x.y`;
 //! * `try:`-bodies whose handlers catch `AttributeError`/`TypeError` or are
 //!   bare `except:` guard attribute access on any path.
+//!
+//! The module also holds the guard condition grammar ([`guard_facts`])
+//! that the PA_n2/PA_c1/PA_c2/PA_d1 detectors and the inter-procedural
+//! summaries share.
 
 use std::collections::HashSet;
 
@@ -26,8 +30,10 @@ use cfinder_pyast::ast::{
     BoolOpKind, CmpOp, Constant, Expr, ExprKind, NodeId, Stmt, StmtKind, UnaryOp,
 };
 use cfinder_pyast::visit::expr_children;
+use cfinder_schema::{CompareOp, Literal};
+use serde::{Deserialize, Serialize};
 
-use crate::interproc::{CheckKind, SummaryTable};
+use crate::interproc::SummaryTable;
 
 /// A dotted access path rooted at a local name: `x`, `x.y`, `self.creator`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -389,6 +395,158 @@ pub fn guard_paths(test: &Expr) -> (Vec<AccessPath>, Vec<AccessPath>) {
         }
         _ => (vec![], vec![]),
     }
+}
+
+/// What a guard establishes about an access path. The intra-procedural
+/// detectors map it onto a model column, the summaries onto a parameter.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum CheckKind {
+    /// The value is not `None` (`x is not None`, `x`; on the false side
+    /// of `x is None`, `not x`).
+    NotNone,
+    /// The comparison holds (`x <= 0` false records `Gt 0`).
+    Compare {
+        /// The operator that holds.
+        op: CompareOp,
+        /// The compared literal.
+        lit: Literal,
+    },
+    /// The value stays inside a closed literal set (`x in ('a', 'b')`).
+    Member {
+        /// The allowed values.
+        values: Vec<Literal>,
+    },
+    /// A `None` check controls a constant assignment to the path (`if
+    /// o.status is None: o.status = 'open'`): the constant is the intended
+    /// DEFAULT. Produced by a branch scan ([`assigned_value`]), never by
+    /// [`guard_facts`].
+    DefaultAssign {
+        /// The assigned constant.
+        value: Literal,
+    },
+}
+
+/// The facts one guard condition establishes on each of its outcomes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GuardFacts {
+    /// Facts that hold when the test is true.
+    pub when_true: Vec<(AccessPath, CheckKind)>,
+    /// Facts that hold when the test is false.
+    pub when_false: Vec<(AccessPath, CheckKind)>,
+}
+
+/// The guard condition grammar of PA_n2/PA_c1/PA_c2 and of the summaries:
+/// not-None paths from [`guard_paths`], then a single comparison against a
+/// literal (the operator flipped when the literal is on the left), then
+/// membership in a literal tuple/list/set — each under a leading `not`,
+/// which swaps the two outcomes. Which outcome a caller reads (the one a
+/// raising branch rules out) is the caller's policy.
+pub fn guard_facts(test: &Expr) -> GuardFacts {
+    let (pos, neg) = guard_paths(test);
+    let not_none = |paths: Vec<AccessPath>| paths.into_iter().map(|p| (p, CheckKind::NotNone));
+    let mut facts =
+        GuardFacts { when_true: not_none(pos).collect(), when_false: not_none(neg).collect() };
+
+    let (cond, negated) = unwrap_not(test);
+    let ExprKind::Compare { left, ops, comparators } = &cond.kind else { return facts };
+    // Chained comparisons (`0 < x < 10`) are out of the normalized form.
+    let ([op], [right]) = (ops.as_slice(), comparators.as_slice()) else { return facts };
+    // `(path, holds when cond is true, holds when cond is false)`.
+    let fact = if let Some(op) = compare_op_of(op) {
+        let sides = match literal_of(right) {
+            Some(lit) => Some((&**left, lit, op)),
+            None => literal_of(left).map(|lit| (right, lit, op.flipped())),
+        };
+        sides.and_then(|(subject, lit, op)| {
+            let path = AccessPath::of_expr(subject)?;
+            let holds = CheckKind::Compare { op, lit: lit.clone() };
+            let fails = CheckKind::Compare { op: op.negated(), lit };
+            Some((path, Some(holds), Some(fails)))
+        })
+    } else {
+        // Only membership is expressible; non-membership is not.
+        let member = match op {
+            CmpOp::In => true,
+            CmpOp::NotIn => false,
+            _ => return facts,
+        };
+        literal_list_of(right).zip(AccessPath::of_expr(left)).map(|(values, path)| {
+            let kind = Some(CheckKind::Member { values });
+            if member {
+                (path, kind, None)
+            } else {
+                (path, None, kind)
+            }
+        })
+    };
+    if let Some((path, if_true, if_false)) = fact {
+        let (if_true, if_false) = if negated { (if_false, if_true) } else { (if_true, if_false) };
+        facts.when_true.extend(if_true.map(|k| (path.clone(), k)));
+        facts.when_false.extend(if_false.map(|k| (path, k)));
+    }
+    facts
+}
+
+/// Strips a leading `not`, reporting whether it flipped the polarity.
+pub fn unwrap_not(test: &Expr) -> (&Expr, bool) {
+    match &test.kind {
+        ExprKind::UnaryOp { op: UnaryOp::Not, operand } => (operand, true),
+        _ => (test, false),
+    }
+}
+
+/// Maps a Python comparison operator onto the predicate algebra. Identity
+/// and membership operators have no scalar SQL counterpart.
+fn compare_op_of(op: &CmpOp) -> Option<CompareOp> {
+    match op {
+        CmpOp::Eq => Some(CompareOp::Eq),
+        CmpOp::NotEq => Some(CompareOp::Ne),
+        CmpOp::Lt => Some(CompareOp::Lt),
+        CmpOp::LtEq => Some(CompareOp::Le),
+        CmpOp::Gt => Some(CompareOp::Gt),
+        CmpOp::GtEq => Some(CompareOp::Ge),
+        CmpOp::In | CmpOp::NotIn | CmpOp::Is | CmpOp::IsNot => None,
+    }
+}
+
+/// A constant expression as a guard literal. Floats are excluded (their
+/// SQL rendering is dialect-sensitive) and `None` is a not-None guard, not
+/// a comparable value. Negative numbers arrive as unary minus over a
+/// constant, not as a negative constant.
+pub fn literal_of(expr: &Expr) -> Option<Literal> {
+    if let ExprKind::UnaryOp { op: UnaryOp::Neg, operand } = &expr.kind {
+        if let ExprKind::Constant(Constant::Int(i)) = &operand.kind {
+            return Some(Literal::Int(-i));
+        }
+        return None;
+    }
+    let ExprKind::Constant(c) = &expr.kind else { return None };
+    match c {
+        Constant::Int(i) => Some(Literal::Int(*i)),
+        Constant::Str(s) => Some(Literal::Str(s.clone())),
+        Constant::Bool(b) => Some(Literal::Bool(*b)),
+        _ => None,
+    }
+}
+
+/// A non-empty tuple/list/set display whose elements are all literals.
+fn literal_list_of(expr: &Expr) -> Option<Vec<Literal>> {
+    let elements = match &expr.kind {
+        ExprKind::Tuple(e) | ExprKind::List(e) | ExprKind::Set(e) => e,
+        _ => return None,
+    };
+    if elements.is_empty() {
+        return None;
+    }
+    elements.iter().map(literal_of).collect()
+}
+
+/// The value `stmt` assigns to exactly `path`, when it is such an
+/// assignment. Which statements of a branch are scanned, and whether a
+/// non-constant value ends the scan, is each caller's policy.
+pub fn assigned_value<'a>(stmt: &'a Stmt, path: &AccessPath) -> Option<&'a Expr> {
+    let StmtKind::Assign { targets, value } = &stmt.kind else { return None };
+    targets.iter().any(|t| AccessPath::of_expr(t).as_ref() == Some(path)).then_some(value)
 }
 
 fn expr_is_none(e: &Expr) -> bool {

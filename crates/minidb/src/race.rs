@@ -207,9 +207,9 @@ pub fn run_threaded_race(cfg: RaceConfig) -> RaceOutcome {
     };
     let results = Mutex::new(Vec::new());
     let barrier = std::sync::Barrier::new(cfg.requests);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..cfg.requests {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 barrier.wait();
                 // Step 1: validation in its own critical section.
                 let ok = if cfg.app_validation {
@@ -233,8 +233,7 @@ pub fn run_threaded_race(cfg: RaceConfig) -> RaceOutcome {
                 results.lock().push((ok, result));
             });
         }
-    })
-    .expect("threads do not panic");
+    });
     for (ok, result) in results.into_inner() {
         match (ok, result) {
             (false, _) => outcome.rejected_by_app += 1,

@@ -5,7 +5,8 @@
 //! * [`Visit`] — a classic visitor trait with pre-order callbacks and
 //!   default recursive walking, used by analyses that need full context.
 //! * [`walk_exprs`] / [`walk_stmts`] — closure-based pre-order walks for
-//!   one-off scans.
+//!   one-off scans; [`walk_shallow`] / [`own_exprs`] restrict a walk to
+//!   one function scope.
 //! * [`bfs_exprs`] — breadth-first expression traversal, which is the order
 //!   CFinder's pattern matcher uses when searching candidate subtrees
 //!   (§3.4.2 of the paper: "performs a breadth-first traversal in T_body").
@@ -371,6 +372,72 @@ pub fn walk_stmts<'a>(stmts: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt)) {
     }
 }
 
+/// Calls `f` on every statement of one scope (pre-order): `stmts` and the
+/// nested control-flow blocks, but NOT nested `def`/`class` bodies — those
+/// are separate scopes, so their `return`s do not exit this function and
+/// their assignments do not rebind its locals.
+pub fn walk_shallow<'a>(stmts: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt)) {
+    for s in stmts {
+        f(s);
+        match &s.kind {
+            StmtKind::If { body, orelse, .. }
+            | StmtKind::For { body, orelse, .. }
+            | StmtKind::While { body, orelse, .. } => {
+                walk_shallow(body, f);
+                walk_shallow(orelse, f);
+            }
+            StmtKind::Try { body, handlers, orelse, finalbody } => {
+                walk_shallow(body, f);
+                for h in handlers {
+                    walk_shallow(&h.body, f);
+                }
+                walk_shallow(orelse, f);
+                walk_shallow(finalbody, f);
+            }
+            StmtKind::With { body, .. } => walk_shallow(body, f),
+            _ => {}
+        }
+    }
+}
+
+/// The expressions a statement directly owns, evaluated in the enclosing
+/// scope (not those of nested statements). For a nested `def` that is its
+/// decorators; for a nested `class`, its decorators and bases.
+pub fn own_exprs(stmt: &Stmt) -> Vec<&Expr> {
+    match &stmt.kind {
+        StmtKind::Assign { targets, value } => {
+            let mut v: Vec<&Expr> = targets.iter().collect();
+            v.push(value);
+            v
+        }
+        StmtKind::AugAssign { target, value, .. } => vec![target, value],
+        StmtKind::If { test, .. } | StmtKind::While { test, .. } => vec![test],
+        StmtKind::For { target, iter, .. } => vec![target, iter],
+        StmtKind::With { items, .. } => {
+            let mut v = Vec::new();
+            for i in items {
+                v.push(&i.context);
+                if let Some(t) = &i.target {
+                    v.push(t);
+                }
+            }
+            v
+        }
+        StmtKind::Return { value } => value.iter().collect(),
+        StmtKind::Raise { exc, cause } => exc.iter().chain(cause.iter()).collect(),
+        StmtKind::Expr { value } => vec![value],
+        StmtKind::Assert { test, msg } => {
+            let mut v = vec![test];
+            v.extend(msg.iter());
+            v
+        }
+        StmtKind::Delete { targets } => targets.iter().collect(),
+        StmtKind::FunctionDef(f) => f.decorators.iter().collect(),
+        StmtKind::ClassDef(c) => c.decorators.iter().chain(c.bases.iter()).collect(),
+        _ => Vec::new(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,6 +477,18 @@ mod tests {
         walk_stmts(&m.body, &mut |_| count += 1);
         // FunctionDef, If, Pass, Return.
         assert_eq!(count, 4);
+    }
+
+    #[test]
+    fn walk_shallow_stays_in_one_scope() {
+        let m =
+            parse_module("if a:\n    @deco\n    def f():\n        return 1\nelse:\n    x = 2\n")
+                .unwrap();
+        let mut owned = Vec::new();
+        walk_shallow(&m.body, &mut |s| owned.push(own_exprs(s).len()));
+        // If (its test), FunctionDef (its decorator), Assign (target and
+        // value) — never the nested `return`.
+        assert_eq!(owned, vec![1, 1, 2]);
     }
 
     #[test]

@@ -34,8 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cfinder_core::{
-    effective_deadline, AnalysisCache, AnalysisReport, CFinder, CFinderOptions, CacheError, Limits,
-    Obs,
+    AnalysisCache, AnalysisReport, CFinder, CFinderOptions, CacheError, Limits, Obs,
 };
 use cfinder_obs::{Metrics, Profiler, Tracer};
 use parking_lot::Mutex;
@@ -166,12 +165,7 @@ impl<W: Write> Shared<W> {
         limits: &Limits,
     ) -> Result<Option<Arc<AnalysisCache>>, CacheError> {
         let Some(dir) = &self.config.cache_dir else { return Ok(None) };
-        let key: CacheKey = (
-            *options,
-            effective_deadline(options, limits),
-            limits.max_file_bytes,
-            limits.max_tokens,
-        );
+        let key: CacheKey = (*options, limits.deadline, limits.max_file_bytes, limits.max_tokens);
         let mut caches = self.caches.lock();
         if let Some((_, cache)) = caches.iter().find(|(k, _)| *k == key) {
             return Ok(Some(cache.clone()));
@@ -214,9 +208,11 @@ where
     };
     let workers = shared.config.workers.max(1);
 
-    let read_error = crossbeam::scope(|scope| {
+    // A worker panic outside the request fence propagates out of the
+    // scope once every thread is joined.
+    let read_error = std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| worker_loop(&shared));
+            scope.spawn(|| worker_loop(&shared));
         }
         let err = reader_loop(&shared, &mut input);
         // EOF, shutdown, or a dead stdin: no new work can arrive. Close
@@ -224,8 +220,7 @@ where
         // scope joins them before we return.
         shared.queue.close();
         err
-    })
-    .expect("daemon worker panicked outside the request fence");
+    });
 
     // Stop the sampler before tearing the daemon down; samples stay
     // available through metrics until the handle drops.
@@ -523,12 +518,13 @@ fn run_analysis<W: Write>(
     cmd_name: &'static str,
     project_name: &str,
     options: CFinderOptions,
+    file_deadline_ms: Option<u64>,
 ) -> Result<AnalysisOutcome, (ErrorCode, String)> {
     let project = shared
         .registry
         .get(project_name)
         .ok_or_else(|| (ErrorCode::UnknownProject, format!("no project `{project_name}`")))?;
-    let limits = Limits::from_env();
+    let limits = request_limits(file_deadline_ms);
     let cache = shared
         .cache_for(&options, &limits)
         .map_err(|e| (ErrorCode::CacheUnusable, e.to_string()))?;
@@ -599,9 +595,21 @@ fn analyze<W: Write>(
             }
         }
     }
-    options.deadline_ms = file_deadline_ms;
-    let (_, report, _) = run_analysis(shared, id, "analyze", project, options)?;
+    let (_, report, _) = run_analysis(shared, id, "analyze", project, options, file_deadline_ms)?;
     Ok(report_result(&report))
+}
+
+/// The limits a request analyzes with: the environment's
+/// ([`Limits::from_env`]), with the request's `file_deadline_ms` replacing
+/// the per-file deadline when present — `0` means no deadline. The cache
+/// fingerprint hashes only the resulting [`Limits::deadline`], so a request
+/// and an environment naming the same budget share a shard.
+pub fn request_limits(file_deadline_ms: Option<u64>) -> Limits {
+    let limits = Limits::from_env();
+    match file_deadline_ms {
+        None => limits,
+        Some(ms) => Limits { deadline: (ms > 0).then(|| Duration::from_millis(ms)), ..limits },
+    }
 }
 
 /// The analyze result frame: headline counts, the full degradation
@@ -643,7 +651,8 @@ fn explain<W: Write>(shared: &Shared<W>, id: &Value, project: &str, target: &str
         Some((t, c)) => (t.to_string(), Some(c.to_string())),
         None => (target.to_string(), None),
     };
-    let (_, report, _) = run_analysis(shared, id, "explain", project, CFinderOptions::default())?;
+    let (_, report, _) =
+        run_analysis(shared, id, "explain", project, CFinderOptions::default(), None)?;
     let matches_target = |c: &cfinder_schema::Constraint| {
         c.table() == table && column.as_deref().is_none_or(|col| c.columns().contains(&col))
     };
@@ -691,7 +700,7 @@ fn explain<W: Write>(shared: &Shared<W>, id: &Value, project: &str, target: &str
 
 fn diff<W: Write>(shared: &Shared<W>, id: &Value, project: &str) -> HandleResult {
     let (_, report, previous) =
-        run_analysis(shared, id, "diff", project, CFinderOptions::default())?;
+        run_analysis(shared, id, "diff", project, CFinderOptions::default(), None)?;
     let current: Vec<String> = report.missing.iter().map(|m| m.constraint.to_string()).collect();
     let baseline: Option<Vec<String>> =
         previous.map(|p| p.missing.iter().map(|m| m.constraint.to_string()).collect());

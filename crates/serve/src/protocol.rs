@@ -99,7 +99,8 @@ pub enum Command {
         project: String,
         /// Whole-request budget in milliseconds (queue wait included).
         deadline_ms: Option<u64>,
-        /// Per-file parse budget, carried on [`cfinder_core::CFinderOptions`].
+        /// Per-file parse budget in milliseconds (`0` = none), carried on
+        /// [`cfinder_core::Limits::deadline`].
         file_deadline_ms: Option<u64>,
         /// Ablation flags, same names as `cfinder --ablate`.
         ablate: Vec<String>,

@@ -65,9 +65,14 @@ echo "==> inter-procedural summaries: flow crate + differential oracle"
 # Call-graph extraction/composition proptests, then the off/on oracle:
 # the paper configuration must be byte-identical across thread counts
 # and hop-free; summaries-on must recover every planted helper-wrapped
-# site with hop provenance and zero trap false positives.
+# site with hop provenance and zero trap false positives. The shared
+# guard grammar has two more oracles: every corpus app's stable_json
+# digest (paper and default configurations, 1/2/4 threads) against its
+# golden, and a proptest that an inline guard and the same guard in a
+# helper infer the same constraints, with a hop only on the helper.
 flow_unit=$(cargo test -q -p cfinder-flow 2>&1) || { echo "$flow_unit"; exit 1; }
-interproc_oracle=$(cargo test -q --test interproc_oracle 2>&1) \
+interproc_oracle=$(cargo test -q --test interproc_oracle --test stable_json_digest \
+    --test guard_grammar_oracle 2>&1) \
     || { echo "$interproc_oracle"; exit 1; }
 
 echo "==> inter-procedural test-count floor"

@@ -15,6 +15,7 @@ use cfinder::core::{
     SourceFile,
 };
 use cfinder::corpus::{all_profiles, generate, GenOptions};
+use cfinder::serve::daemon::request_limits;
 
 const SCALE: GenOptions = GenOptions { loc_scale: 0.01 };
 
@@ -229,7 +230,7 @@ fn editing_a_helper_body_invalidates_callers_detect_entries() {
 fn deadline_env_changes_the_tool_fingerprint() {
     // `Limits::from_env` is what the CLI feeds the cache, so the
     // environment knob must round-trip into a distinct fingerprint.
-    // (The option-carried assertions live in this same #[test] because
+    // (The request-carried assertions live in this same #[test] because
     // they mutate the same environment variable — separate tests would
     // race under the parallel test runner.)
     let options = CFinderOptions::default();
@@ -240,40 +241,24 @@ fn deadline_env_changes_the_tool_fingerprint() {
     let with = AnalysisCache::open_with_salt(&dir, &options, &Limits::from_env(), "").unwrap();
     assert_ne!(without.fingerprint(), with.fingerprint());
 
-    // Invalidation-matrix row for the first-class option: a deadline
-    // carried on `CFinderOptions::deadline_ms` and the same deadline
-    // carried by the environment-fed `Limits` fingerprint *identically*
-    // — a daemon request bringing its own budget shares the shard an
-    // env-configured CLI run populated.
+    // Invalidation-matrix row for the single carrier, `Limits::deadline`:
+    // a deadline a `cfinder serve` request brings (`file_deadline_ms`) and
+    // the same deadline from the environment fingerprint *identically* —
+    // the request shares the shard an env-configured CLI run populated.
     std::env::remove_var(DEADLINE_ENV);
-    let via_option = AnalysisCache::open_with_salt(
-        &dir,
-        &CFinderOptions { deadline_ms: Some(120_000), ..options },
-        &Limits::from_env(),
-        "",
-    )
-    .unwrap();
-    assert_eq!(via_option.fingerprint(), with.fingerprint());
+    let via_request =
+        AnalysisCache::open_with_salt(&dir, &options, &request_limits(Some(120_000)), "").unwrap();
+    assert_eq!(via_request.fingerprint(), with.fingerprint());
 
-    // An explicit option overrides a conflicting env deadline...
+    // A request deadline overrides a conflicting env deadline...
     std::env::set_var(DEADLINE_ENV, "5");
-    let option_wins = AnalysisCache::open_with_salt(
-        &dir,
-        &CFinderOptions { deadline_ms: Some(120_000), ..options },
-        &Limits::from_env(),
-        "",
-    )
-    .unwrap();
-    assert_eq!(option_wins.fingerprint(), with.fingerprint());
-    // ...including `Some(0)`, which means "explicitly no deadline" and
-    // must land in the no-deadline shard, not a third one.
-    let zero_disables = AnalysisCache::open_with_salt(
-        &dir,
-        &CFinderOptions { deadline_ms: Some(0), ..options },
-        &Limits::from_env(),
-        "",
-    )
-    .unwrap();
+    let request_wins =
+        AnalysisCache::open_with_salt(&dir, &options, &request_limits(Some(120_000)), "").unwrap();
+    assert_eq!(request_wins.fingerprint(), with.fingerprint());
+    // ...including `0`, which means "explicitly no deadline" and must land
+    // in the no-deadline shard, not a third one.
+    let zero_disables =
+        AnalysisCache::open_with_salt(&dir, &options, &request_limits(Some(0)), "").unwrap();
     std::env::remove_var(DEADLINE_ENV);
     assert_eq!(zero_disables.fingerprint(), without.fingerprint());
     let _ = fs::remove_dir_all(&dir);

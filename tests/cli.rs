@@ -448,3 +448,46 @@ fn cli_analyzes_an_exported_corpus_app() {
     // and its helper-wrapped sites (2) — the CLI default has summaries on.
     assert_eq!(v["missing"].as_array().unwrap().len(), 14);
 }
+
+/// A helper whose own scope holds a `yield` — here inside a nested
+/// decorator — is a generator: calling it runs none of its checks, so the
+/// call site must not inherit them. The same helper without the `yield`
+/// does enforce the field, which keeps the assertion from passing vacuously.
+#[test]
+fn generator_helper_checks_infer_no_constraint() {
+    let run = |tag: &str, prelude: &str| {
+        let dir = temp_dir(tag);
+        fs::create_dir_all(dir.join("app")).unwrap();
+        fs::write(
+            dir.join("app/models.py"),
+            "class Voucher(models.Model):\n    name = models.CharField(max_length=32, null=True)\n",
+        )
+        .unwrap();
+        fs::write(
+            dir.join("app/validators.py"),
+            format!(
+                "def require_name(obj):\n{prelude}    if obj.name is None:\n        raise ValueError()\n"
+            ),
+        )
+        .unwrap();
+        fs::write(
+            dir.join("app/views.py"),
+            "def show(pk):\n    voucher = Voucher.objects.get(pk=pk)\n    require_name(voucher)\n",
+        )
+        .unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_cfinder"))
+            .arg(dir.join("app"))
+            .output()
+            .expect("binary runs");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let plain = run("helper-plain", "");
+    assert!(plain.contains("Voucher Not NULL (name)"), "{plain}");
+    for (tag, prelude) in [
+        ("helper-decorator-yield", "    @register((yield))\n    def inner():\n        pass\n"),
+        ("helper-base-yield", "    class Inner((yield)):\n        pass\n"),
+    ] {
+        let stdout = run(tag, prelude);
+        assert!(!stdout.contains("Voucher Not NULL (name)"), "{tag}: {stdout}");
+    }
+}
